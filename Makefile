@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet staticcheck test race smoke bench-trace bench-analyze bench-scale bench-scale-quick bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate fuzz-smoke clean
+.PHONY: check build vet staticcheck test race perfbench-test smoke bench-trace bench-analyze bench-scale bench-scale-quick bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate fuzz-smoke clean
 
 # The full gate: what CI (and the tier-1 driver) should run.
-check: vet staticcheck build race
+check: vet staticcheck build race perfbench-test
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Self-test of the repo benchmark. perfbench is a nested module, so the
+# root ./... patterns above neither build nor test it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # Quick -race pass over the two execution models only: the discrete-event
 # engine (sim) and the message layer (phys) are where data races would live.
 smoke:
@@ -41,17 +46,14 @@ bench-analyze:
 	$(GO) run ./cmd/tracectl bench -events 500000 -nodes 256 -reps 5 -out results/BENCH_tracectl.json
 
 # Scale bench for the sharded parallel round executor: parallel vs the
-# Workers=1 schedule at n in {10k, 100k, 1M} on regular graphs, with an
+# Workers=1 schedule at n in {10k, 100k} on regular graphs, with an
 # equal-final-graph cross-check. Writes results/BENCH_scale.json.
 bench-scale:
-	$(GO) run ./cmd/ssrsim -mode scale -sizes 10000,100000,1000000 -out results/BENCH_scale.json
+	$(GO) run ./cmd/ssrsim -mode scale -sizes 10000,100000 -out results/BENCH_scale.json
 
-# CI smoke variant: small size, tight round caps, throwaway output. Two
-# arms: the contiguous baseline and the locality policy (wave-scheduled
-# boundary), so the smoke exercises both boundary disciplines.
+# CI smoke variant: small size, tight round caps, throwaway output.
 bench-scale-quick:
 	$(GO) run ./cmd/ssrsim -mode scale -quick -sizes 4000 -workers 2 -out /tmp/BENCH_scale_quick.json
-	$(GO) run ./cmd/ssrsim -mode scale -quick -sizes 4000 -workers 2 -partition locality -out /tmp/BENCH_scale_quick_locality.json
 
 # Chaos suite: replay the committed fault scenarios (loss bursts,
 # partition+heal, churn, jitter, corruption) over every registered
@@ -85,21 +87,16 @@ profile:
 
 # CI smoke variant: tight round caps, fixed worker count, no pprof capture.
 # These flags must match the committed baseline's meta header exactly, or
-# perf-gate's compare refuses the diff. The second arm runs the locality
-# partition policy, whose wave-scheduled boundary has its own committed
-# baseline (interior/wave/boundary activation split per policy).
+# perf-gate's compare refuses the diff.
 profile-quick:
 	$(GO) run ./cmd/ssrsim -mode profile -quick -n 10000 -workers 2 -seed 1 -out /tmp/BENCH_profile_quick.json
-	$(GO) run ./cmd/ssrsim -mode profile -quick -n 10000 -workers 2 -seed 1 -partition locality -out /tmp/BENCH_profile_quick_locality.json
 
-# The perf-regression gate: rerun the quick profiles and diff the
-# machine-independent fields (rounds, activation splits, convergence)
-# against the committed baselines — one per partition policy, so a change
-# that shifts work between the interior, wave and boundary paths fails the
-# gate. Fails on any gated drift.
+# The perf-regression gate: rerun the quick profile and diff the
+# machine-independent fields (rounds, interior/boundary activation split,
+# convergence) against the committed baseline. Fails on any gated drift,
+# and on a gated field present in only one of the two files.
 perf-gate: profile-quick
 	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick.json /tmp/BENCH_profile_quick.json
-	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick_locality.json /tmp/BENCH_profile_quick_locality.json
 
 # Short native-fuzz pass over the frame-decoding and linearize-step
 # targets (one -fuzz run per target; Go allows a single fuzz target per

@@ -136,7 +136,7 @@ func main() {
 		if outPath == "" {
 			outPath = "results/BENCH_scale.json"
 		}
-		rep, res := exp.ScaleBench(sizes, scaleTopo, *cli.Workers, *cli.Shards, *cli.Partition, *cli.Seed, *quick)
+		rep, res := exp.ScaleBench(sizes, scaleTopo, *cli.Workers, *cli.Shards, *cli.Seed, *quick)
 		if err := exp.WriteScaleJSON(outPath, res); err != nil {
 			closeTrace()
 			fmt.Fprintln(os.Stderr, "ssrsim:", err)
@@ -207,7 +207,7 @@ func main() {
 				outPath = "results/BENCH_profile_quick.json"
 			}
 		}
-		rep, res, err := exp.ProfileBench(profN, profTopo, *cli.Workers, *cli.Shards, *cli.Partition, *cli.Seed, *quick, *profDir, *variant)
+		rep, res, err := exp.ProfileBench(profN, profTopo, *cli.Workers, *cli.Shards, *cli.Seed, *quick, *profDir, *variant)
 		if err != nil {
 			closeTrace()
 			fmt.Fprintln(os.Stderr, "ssrsim:", err)

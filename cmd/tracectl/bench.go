@@ -130,7 +130,8 @@ func cmdBench(args []string) error {
 
 // cmdBenchCompare diffs two bench artifacts: baseline first, candidate
 // second. Exit status 1 (via the returned error) means a gated field
-// regressed beyond tolerance.
+// regressed beyond tolerance or exists in only one of the two files — a
+// deleted gated field must not pass the gate by going unjudged.
 func cmdBenchCompare(args []string) error {
 	fs := flag.NewFlagSet("tracectl bench compare", flag.ExitOnError)
 	tol := fs.Float64("tol", 0.0, "relative tolerance before a gated change counts as a regression")
@@ -191,6 +192,19 @@ func cmdBenchCompare(args []string) error {
 		}
 	}
 
+	var missing []string
+	for _, p := range append(onlyOld, onlyNew...) {
+		if gate == nil || gate.MatchString(p) {
+			missing = append(missing, p)
+		}
+	}
+	if len(missing) > 0 {
+		fmt.Printf("\nGATE FAILED: %d gated field(s) present in only one file\n", len(missing))
+		for _, p := range missing {
+			fmt.Printf("  %s\n", p)
+		}
+		return fmt.Errorf("bench compare: %d gated field(s) missing from one side", len(missing))
+	}
 	regs := benchfmt.Regressions(deltas, gate, *tol)
 	if len(regs) > 0 {
 		fmt.Printf("\nGATE FAILED: %d gated field(s) moved beyond tol=%g\n", len(regs), *tol)

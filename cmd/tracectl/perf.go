@@ -36,9 +36,6 @@ func cmdPerf(args []string) error {
 
 	fmt.Printf("== perf breakdown: %s ==\n", path)
 	fmt.Printf("rounds=%d\n", p.Rounds)
-	if p.Policy != "" {
-		fmt.Printf("partition policy=%s shards=%d\n", p.Policy, p.PolicyShards)
-	}
 
 	fmt.Println("\n-- phase wall time --")
 	tab := metrics.NewTable("span", "count", "total ms", "mean µs", "max µs", "share")
@@ -111,13 +108,10 @@ func cmdPerf(args []string) error {
 		stab.AddRow(trow...)
 		fmt.Print(stab)
 
-		// Wave activations are cross-shard work executed in parallel by the
-		// conflict-free wave scheduler — they count against the boundary
-		// only in the sense of partition quality, not the Amdahl share.
-		if bnd, wav, in := totals["boundary"], totals["wave"], totals["interior"]; bnd+wav+in > 0 {
-			share := float64(bnd) / float64(bnd+wav+in)
-			fmt.Printf("boundary share: %.1f%% (%d boundary vs %d wave + %d interior activations)\n",
-				100*share, bnd, wav, in)
+		if bnd, in := totals["boundary"], totals["interior"]; bnd+in > 0 {
+			share := float64(bnd) / float64(bnd+in)
+			fmt.Printf("boundary share: %.1f%% (%d boundary vs %d interior activations)\n",
+				100*share, bnd, in)
 			if share > 0.5 {
 				fmt.Println("boundary work dominates — the sequential Finish phase bounds the speedup (ROADMAP Open item 1)")
 			}

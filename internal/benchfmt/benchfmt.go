@@ -38,7 +38,6 @@ type Meta struct {
 	Sizes     []int  `json:"sizes,omitempty"`
 	Workers   int    `json:"workers,omitempty"`
 	Shards    int    `json:"shards,omitempty"`
-	Partition string `json:"partition,omitempty"`
 	Transport string `json:"transport,omitempty"`
 	Quick     bool   `json:"quick,omitempty"`
 }
@@ -66,7 +65,6 @@ func (m Meta) CompatibleWith(o Meta) error {
 	check("sizes", m.Sizes, o.Sizes)
 	check("workers", m.Workers, o.Workers)
 	check("shards", m.Shards, o.Shards)
-	check("partition", m.Partition, o.Partition)
 	check("transport", m.Transport, o.Transport)
 	check("quick", m.Quick, o.Quick)
 	if len(bad) > 0 {
@@ -204,7 +202,7 @@ func collect(prefix string, v any, out map[string]float64) {
 // gate judges: round counts, activation totals and the boundary share.
 // Wall-clock fields (seconds, speedups) vary with the host and stay
 // informational.
-const DefaultGate = `(^|\.)(rounds|interior_activations|wave_activations|boundary_activations|activations|boundary_share|converged|equal_graphs|final_edges)$`
+const DefaultGate = `(^|\.)(rounds|interior_activations|boundary_activations|activations|boundary_share|converged|equal_graphs|final_edges)$`
 
 // Regressions filters deltas down to the ones the gate fails on: path
 // matches the gate pattern and the relative change exceeds tol in

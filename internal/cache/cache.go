@@ -210,15 +210,19 @@ type Candidate struct {
 // (intermediate nodes included) and return the candidate that minimizes the
 // clockwise ring distance to target, tie-broken by fewest hops from the
 // owner ("physically closest to itself and virtually closest to the final
-// destination", §1). The owner itself is never returned; ok=false means the
-// cache is empty. If target itself is on some cached route, the exact route
-// is returned.
+// destination", §1), then by smaller route key (the cached route's
+// destination). RingDist(·, target) is injective, so equal distance means
+// the same candidate node; the order is total and the choice never depends
+// on map iteration order. The owner itself is never returned; ok=false
+// means the cache is empty. If target itself is on some cached route, the
+// exact route is returned.
 func (c *Cache) BestToward(target ids.ID) (Candidate, bool) {
 	var best Candidate
+	var bestKey ids.ID
 	bestDist := ids.RingDist(c.owner, target) // must improve on owner
 	bestHops := 0
 	found := false
-	for _, r := range c.routes {
+	for key, r := range c.routes {
 		for i := 1; i < len(r); i++ {
 			node := r[i]
 			if node == c.owner {
@@ -231,12 +235,12 @@ func (c *Cache) BestToward(target ids.ID) (Candidate, bool) {
 				// so skip non-improving candidates.
 				continue
 			}
-			if found && (dist > bestDist || (dist == bestDist && i >= bestHops)) {
+			if found && (dist > bestDist || (dist == bestDist &&
+				(i > bestHops || (i == bestHops && key >= bestKey)))) {
 				continue
 			}
 			best = Candidate{Node: node, Via: r[:i+1].Clone()}
-			bestDist = dist
-			bestHops = i
+			bestDist, bestHops, bestKey = dist, i, key
 			found = true
 		}
 	}

@@ -201,6 +201,21 @@ func TestBestTowardTieBreaksByHops(t *testing.T) {
 	}
 }
 
+// TestBestTowardTieBreaksByRouteKey: 180 sits at hop 2 on two cached
+// routes with different prefixes. The route with the smaller destination
+// key must win on every fresh cache, whatever the map iteration order.
+func TestBestTowardTieBreaksByRouteKey(t *testing.T) {
+	for k := 0; k < 64; k++ {
+		c := New(100, Unbounded)
+		c.Insert(route(t, 100, 7, 180, 400))
+		c.Insert(route(t, 100, 5, 180, 300))
+		cand, ok := c.BestToward(190)
+		if !ok || !cand.Via.Equal(sroute.Route{100, 5, 180}) {
+			t.Fatalf("try %d: BestToward(190) = %+v, want the prefix of the route to 300", k, cand)
+		}
+	}
+}
+
 func TestBestTowardRequiresProgress(t *testing.T) {
 	c := New(100, Unbounded)
 	// Target 101; candidate 102 is *past* the target clockwise (huge ring

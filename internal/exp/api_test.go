@@ -72,7 +72,7 @@ func TestParseSizes(t *testing.T) {
 }
 
 func TestScaleBenchQuick(t *testing.T) {
-	rep, res := ScaleBench([]int{600}, graph.TopoRegular, 2, 4, "contiguous", 5, true)
+	rep, res := ScaleBench([]int{600}, graph.TopoRegular, 2, 4, 5, true)
 	if len(res.Runs) != 3 {
 		t.Fatalf("want one run per variant, got %d", len(res.Runs))
 	}

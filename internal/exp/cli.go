@@ -34,14 +34,11 @@ type CLI struct {
 	Seeds *int
 	Seed  *int64
 	CSV   *bool
-	// Workers/Shards/Partition configure the sharded parallel round
-	// executor: -workers 0 keeps the single-threaded legacy executor,
-	// k >= 1 uses a pool of k goroutines; -shards 0 picks
-	// sim.DefaultShards; -partition names the shard-assignment policy
-	// (sim.PartitionPolicies).
-	Workers   *int
-	Shards    *int
-	Partition *string
+	// Workers/Shards configure the sharded parallel round executor:
+	// -workers 0 keeps the single-threaded legacy executor, k >= 1 uses a
+	// pool of k goroutines; -shards 0 picks sim.DefaultShards.
+	Workers *int
+	Shards  *int
 	// Transport selects what the bootstrap protocols run over: the raw
 	// lossy network or the reliable-delivery sublayer (internal/rel).
 	Transport *string
@@ -68,8 +65,6 @@ func BindCLI(fs *flag.FlagSet, opt CLIOptions) *CLI {
 		CSV:     fs.Bool("csv", false, "emit the result table as CSV instead of aligned text"),
 		Workers: fs.Int("workers", 0, "worker pool for the sharded round executor (0 = single-threaded legacy executor)"),
 		Shards:  fs.Int("shards", 0, "shard count for the parallel executor (0 = auto-scale with n)"),
-		Partition: fs.String("partition", "contiguous",
-			"shard-assignment policy for the parallel executor: "+strings.Join(sim.PartitionPolicies(), " | ")),
 		Transport: fs.String("transport", TransportRaw,
 			"protocol transport: raw | reliable (sequence numbers, adaptive retransmission, lease failure detector)"),
 
@@ -86,10 +81,7 @@ func BindCLI(fs *flag.FlagSet, opt CLIOptions) *CLI {
 // protocol transport (SetTransport). The returned cleanup is always
 // non-nil and must run before exit to flush traces.
 func (c *CLI) Setup() (func(), error) {
-	if _, err := sim.NewPartitioner(*c.Partition); err != nil {
-		return func() {}, err
-	}
-	SetExecutor(sim.ExecutorConfig{Workers: *c.Workers, Shards: *c.Shards, Partition: *c.Partition})
+	SetExecutor(sim.ExecutorConfig{Workers: *c.Workers, Shards: *c.Shards})
 	if err := SetTransport(*c.Transport); err != nil {
 		return func() {}, err
 	}

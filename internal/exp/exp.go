@@ -54,10 +54,9 @@ func SetTransport(name string) error {
 }
 
 // defaultExec, when set via SetExecutor, selects the sharded parallel
-// round executor (pool width, partition size, partition policy) for every
-// linearization run the harnesses create — the same harness-wide pattern
-// as the tracer, so the cmd/ tools' -workers/-shards/-partition flags
-// reach every experiment.
+// round executor (pool width, partition size) for every linearization run
+// the harnesses create — the same harness-wide pattern as the tracer, so
+// the cmd/ tools' -workers/-shards flags reach every experiment.
 var defaultExec sim.ExecutorConfig
 
 // SetExecutor installs the harness-wide round-executor configuration
@@ -71,7 +70,7 @@ func SetExecutor(cfg sim.ExecutorConfig) {
 // executor configuration attached.
 func runLin(g *graph.Graph, cfg linearize.Config) (linearize.Stats, *graph.Graph) {
 	cfg.Tracer = tracer
-	if cfg.Workers == 0 && cfg.Executor == (sim.ExecutorConfig{}) {
+	if cfg.Executor == (sim.ExecutorConfig{}) {
 		cfg.Executor = defaultExec
 	}
 	return linearize.Run(g, cfg)

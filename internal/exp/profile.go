@@ -44,7 +44,6 @@ type ProfileRun struct {
 	Variant   string `json:"variant"`
 	Workers   int    `json:"workers"`
 	Shards    int    `json:"shards"`
-	Partition string `json:"partition,omitempty"`
 	Rounds    int    `json:"rounds"`
 	Converged bool   `json:"converged"`
 
@@ -60,7 +59,6 @@ type ProfileRun struct {
 	GCCycles         float64        `json:"gc_cycles"`
 
 	InteriorActivations int64   `json:"interior_activations"`
-	WaveActivations     int64   `json:"wave_activations"`
 	BoundaryActivations int64   `json:"boundary_activations"`
 	BoundaryShare       float64 `json:"boundary_share"`
 
@@ -81,11 +79,10 @@ type ProfileResult struct {
 // (useful for producing a one-variant trace `tracectl perf` can read
 // without cross-variant mixing). workers <= 0 means GOMAXPROCS; shards
 // <= 0 auto-scales (and stays a pure function of n, so the gated fields
-// are machine-independent); partition "" means the contiguous baseline
-// policy. When profDir is non-empty, CPU and heap pprof bundles are
-// captured per variant; quick skips the captures, keeping the CI gate
-// fast and its artifacts out of the tree.
-func ProfileBench(n int, topo graph.Topology, workers, shards int, partition string, seed int64, quick bool, profDir, only string) (Report, ProfileResult, error) {
+// are machine-independent). When profDir is non-empty, CPU and heap pprof
+// bundles are captured per variant; quick skips the captures, keeping the
+// CI gate fast and its artifacts out of the tree.
+func ProfileBench(n int, topo graph.Topology, workers, shards int, seed int64, quick bool, profDir, only string) (Report, ProfileResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -110,14 +107,13 @@ func ProfileBench(n int, topo graph.Topology, workers, shards int, partition str
 	meta := benchfmt.NewMeta(benchName)
 	meta.Topology, meta.Seed, meta.N = string(topo), seed, n
 	meta.Workers, meta.Shards, meta.Quick = workers, shards, quick
-	meta.Partition = partition
 	res := ProfileResult{
 		Meta:       meta,
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	rep := Report{ID: "E18", Title: fmt.Sprintf("per-phase profiler on %s graphs, n=%d workers=%d seed=%d", topo, n, workers, seed)}
-	tab := metrics.NewTable("variant", "rounds", "conv", "wall s", "seq share", "ceiling", "pred", "imbal", "interior", "wave", "boundary", "bnd share")
+	tab := metrics.NewTable("variant", "rounds", "conv", "wall s", "seq share", "ceiling", "pred", "imbal", "interior", "boundary", "bnd share")
 
 	capture := profDir != "" && !quick
 	if capture {
@@ -134,7 +130,7 @@ func ProfileBench(n int, topo graph.Topology, workers, shards int, partition str
 			Scheduler: sim.Synchronous,
 			MaxRounds: scaleRounds(v, quick),
 			CloseRing: true,
-			Executor:  sim.ExecutorConfig{Workers: workers, Shards: shards, Partition: partition},
+			Executor:  sim.ExecutorConfig{Workers: workers, Shards: shards},
 			Tracer:    tr,
 			Prof:      perf.New(tr),
 		}
@@ -174,7 +170,6 @@ func ProfileBench(n int, topo graph.Topology, workers, shards int, partition str
 			Variant:             v.String(),
 			Workers:             stats.Par.Workers,
 			Shards:              stats.Par.Shards,
-			Partition:           stats.Par.Policy,
 			Rounds:              stats.Rounds,
 			Converged:           stats.Converged,
 			Seconds:             dur.Seconds(),
@@ -187,14 +182,11 @@ func ProfileBench(n int, topo graph.Topology, workers, shards int, partition str
 			Mallocs:             p.Mallocs,
 			GCCycles:            p.GCCycles,
 			InteriorActivations: stats.Par.InteriorActivations,
-			WaveActivations:     stats.Par.WaveActivations,
 			BoundaryActivations: stats.Par.BoundaryActivations,
 			CPUProfile:          cpuPath,
 			HeapProfile:         heapPath,
 		}
-		// Wave activations are parallel work: only the residual sequential
-		// Finish phase counts against the boundary share.
-		if total := run.InteriorActivations + run.WaveActivations + run.BoundaryActivations; total > 0 {
+		if total := run.InteriorActivations + run.BoundaryActivations; total > 0 {
 			run.BoundaryShare = float64(run.BoundaryActivations) / float64(total)
 		}
 		for _, s := range p.Spans {
@@ -205,7 +197,7 @@ func ProfileBench(n int, topo graph.Topology, workers, shards int, partition str
 			fmt.Sprintf("%.3f", run.Seconds), fmt.Sprintf("%.3f", run.SeqShare),
 			fmt.Sprintf("%.2fx", run.AmdahlCeiling), fmt.Sprintf("%.2fx", run.PredictedSpeedup),
 			fmt.Sprintf("%.2f", run.ImbalanceMean),
-			run.InteriorActivations, run.WaveActivations, run.BoundaryActivations, fmt.Sprintf("%.3f", run.BoundaryShare))
+			run.InteriorActivations, run.BoundaryActivations, fmt.Sprintf("%.3f", run.BoundaryShare))
 	}
 	rep.Table = tab
 	for _, r := range res.Runs {

@@ -31,7 +31,6 @@ type ScaleRun struct {
 	Variant             string  `json:"variant"`
 	Shards              int     `json:"shards"`
 	Workers             int     `json:"workers"`
-	Partition           string  `json:"partition,omitempty"`
 	SeqSeconds          float64 `json:"seq_seconds"`
 	ParSeconds          float64 `json:"par_seconds"`
 	Speedup             float64 `json:"speedup"`
@@ -40,7 +39,6 @@ type ScaleRun struct {
 	FinalEdges          int     `json:"final_edges"`
 	EqualGraphs         bool    `json:"equal_graphs"`
 	InteriorActivations int64   `json:"interior_activations"`
-	WaveActivations     int64   `json:"wave_activations"`
 	BoundaryActivations int64   `json:"boundary_activations"`
 }
 
@@ -86,18 +84,16 @@ func scaleRounds(v linearize.Variant, quick bool) int {
 }
 
 // ScaleBench measures parallel vs sequential executor throughput at the
-// given sizes. workers <= 0 means GOMAXPROCS; shards <= 0 auto-scales;
-// partition "" means the contiguous baseline policy. The sequential
-// comparator runs the same partition at Workers=1, so the speedup and the
-// equivalence check isolate the worker pool under the chosen schedule.
-func ScaleBench(sizes []int, topo graph.Topology, workers, shards int, partition string, seed int64, quick bool) (Report, ScaleResult) {
+// given sizes. workers <= 0 means GOMAXPROCS; shards <= 0 auto-scales.
+// The sequential comparator runs the same partition at Workers=1, so the
+// speedup and the equivalence check isolate the worker pool.
+func ScaleBench(sizes []int, topo graph.Topology, workers, shards int, seed int64, quick bool) (Report, ScaleResult) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	meta := benchfmt.NewMeta("scale")
 	meta.Topology, meta.Seed, meta.Sizes = string(topo), seed, sizes
 	meta.Workers, meta.Shards, meta.Quick = workers, shards, quick
-	meta.Partition = partition
 	res := ScaleResult{
 		Meta:       meta,
 		Bench:      "scale",
@@ -121,7 +117,7 @@ func ScaleBench(sizes []int, topo graph.Topology, workers, shards int, partition
 				Scheduler: sim.Synchronous,
 				MaxRounds: scaleRounds(v, quick),
 				CloseRing: true,
-				Executor:  sim.ExecutorConfig{Shards: shards, Partition: partition},
+				Executor:  sim.ExecutorConfig{Shards: shards},
 			}
 			cfg.Executor.Workers = 1
 			seqStart := time.Now()
@@ -138,7 +134,6 @@ func ScaleBench(sizes []int, topo graph.Topology, workers, shards int, partition
 				Variant:             v.String(),
 				Shards:              parStats.Par.Shards,
 				Workers:             parStats.Par.Workers,
-				Partition:           parStats.Par.Policy,
 				SeqSeconds:          seqDur.Seconds(),
 				ParSeconds:          parDur.Seconds(),
 				Rounds:              parStats.Rounds,
@@ -146,7 +141,6 @@ func ScaleBench(sizes []int, topo graph.Topology, workers, shards int, partition
 				FinalEdges:          parStats.FinalEdges,
 				EqualGraphs:         parGraph.Equal(seqGraph) && parStats.Rounds == seqStats.Rounds,
 				InteriorActivations: parStats.Par.InteriorActivations,
-				WaveActivations:     parStats.Par.WaveActivations,
 				BoundaryActivations: parStats.Par.BoundaryActivations,
 			}
 			if run.ParSeconds > 0 {

@@ -121,30 +121,18 @@ type Config struct {
 	// abstracted). The wrap edge is exempt from linearization.
 	CloseRing bool
 	// Executor configures the sharded parallel executor for the Synchronous
-	// scheduler: pool width, partition size and partition policy (see
-	// sim.ExecutorConfig). Workers 0 keeps the single-threaded legacy
-	// executor; k >= 1 runs the sharded executor with a pool of k
-	// goroutines (see parallel.go). The final graph and stats are a pure
-	// function of the shard schedule (partition size + policy) — identical
-	// for every Workers >= 1. Shards is part of the schedule: Pure and LSN
-	// activate shard-interior nodes before cross-shard nodes, so different
-	// partitions may take different (equally valid) trajectories;
-	// Executor.Shards=1 reproduces the legacy executor's schedule exactly,
-	// and Memory is Jacobi-style and matches the legacy executor under
-	// every partition. An unknown Partition name panics in Run — validate
-	// user input with sim.NewPartitioner first. The RandomSequential daemon
-	// is inherently serial and ignores Executor entirely.
+	// scheduler: pool width and partition size (see sim.ExecutorConfig).
+	// Workers 0 keeps the single-threaded legacy executor; k >= 1 runs the
+	// sharded executor with a pool of k goroutines (see parallel.go). The
+	// final graph and stats are a pure function of the partition size —
+	// identical for every Workers >= 1. Shards is part of the schedule:
+	// Pure and LSN activate shard-interior nodes before cross-shard nodes,
+	// so different partitions may take different (equally valid)
+	// trajectories; Executor.Shards=1 reproduces the legacy executor's
+	// schedule exactly, and Memory is Jacobi-style and matches the legacy
+	// executor under every partition. The RandomSequential daemon is
+	// inherently serial and ignores Executor entirely.
 	Executor sim.ExecutorConfig
-	// Workers is the pre-ExecutorConfig pool-width knob.
-	//
-	// Deprecated: set Executor.Workers instead. The alias is honored (when
-	// Executor.Workers is zero) for one release.
-	Workers int
-	// Shards is the pre-ExecutorConfig partition-size knob.
-	//
-	// Deprecated: set Executor.Shards instead. The alias is honored (when
-	// Executor.Shards is zero) for one release.
-	Shards int
 	// OnRound, if set, is called after every round with the round number
 	// and the current virtual graph (read-only). Used for Figure 3 traces.
 	OnRound func(round int, g *graph.Graph)
@@ -162,23 +150,10 @@ type Config struct {
 	// deterministic-safe performance profiler: per-phase and per-shard wall
 	// time, snapshot-rebuild cost, load imbalance and allocation deltas,
 	// emitted as EvSpan events on a side channel (see package perf). Only
-	// observed by the sharded executor (Workers > 0, Synchronous); purely
-	// observational — the result is identical with or without it.
+	// observed by the sharded executor (Executor.Workers > 0,
+	// Synchronous); purely observational — the result is identical with or
+	// without it.
 	Prof *perf.Profiler
-}
-
-// exec resolves the executor configuration, folding the deprecated
-// Workers/Shards aliases into the Executor struct (alias fields only apply
-// where the Executor field is zero).
-func (c Config) exec() sim.ExecutorConfig {
-	ex := c.Executor
-	if ex.Workers == 0 {
-		ex.Workers = c.Workers
-	}
-	if ex.Shards == 0 {
-		ex.Shards = c.Shards
-	}
-	return ex
 }
 
 // Stats aggregates what a run did — the raw material for experiments E5,
@@ -193,7 +168,7 @@ type Stats struct {
 	PeakDegree   int   // maximum node degree ever observed (state bound)
 	FinalEdges   int   // edges at the fixed point
 	// Par describes the sharded executor's run shape when it ran
-	// (Config.Workers > 0 under the synchronous scheduler); the zero value
+	// (Config.Executor.Workers > 0 under the synchronous scheduler); the zero value
 	// means the single-threaded legacy executor.
 	Par ParallelStats
 }
@@ -290,7 +265,7 @@ func (e *Engine) Run() Stats {
 			max = 1024
 		}
 	}
-	if e.cfg.exec().Workers > 0 && e.cfg.Scheduler == sim.Synchronous {
+	if e.cfg.Executor.Workers > 0 && e.cfg.Scheduler == sim.Synchronous {
 		return e.runSharded(max)
 	}
 	rng := rand.New(rand.NewSource(e.cfg.Seed))
@@ -393,8 +368,8 @@ type opSink struct {
 
 	// Per-activation scratch buffers, reused across activations. A sink is
 	// only ever driven by one goroutine at a time (per-shard sinks by their
-	// shard's worker, per-pick wave sinks by their pick's worker, the root
-	// sink by the sequential phases), so the scratch needs no locking.
+	// shard's worker, the root sink by the sequential phases), so the
+	// scratch needs no locking.
 	nbrs  []ids.ID
 	keep  []ids.ID
 	chain []graph.Edge

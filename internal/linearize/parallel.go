@@ -1,10 +1,10 @@
 package linearize
 
 // This file is the sharded parallel round executor for the synchronous
-// scheduler (Config.Workers >= 1), built on sim.ShardedRunner. The node
-// universe is partitioned into contiguous identifier-interval shards and
-// each variant maps onto the runner's phases according to its atomicity
-// needs (see DESIGN.md §9 for the full argument):
+// scheduler (Config.Executor.Workers >= 1), built on sim.ShardedRunner.
+// The node universe is partitioned into contiguous identifier-interval
+// shards and each variant maps onto the runner's phases according to its
+// atomicity needs (see DESIGN.md §9 for the full argument):
 //
 //   - Memory is Jacobi-style: additions commute, so Prepare computes every
 //     node's chain proposals in parallel against an immutable CSR snapshot
@@ -23,32 +23,21 @@ package linearize
 //     whose both endpoints lie inside its own shard, and interior
 //     operations can only add shard-local neighbors, so the classification
 //     stays valid for the whole phase and the adjacency structure is
-//     single-writer per shard. The cross-shard nodes run under the
-//     policy's boundary discipline: sequentially in global identifier
-//     order during Finish (BoundarySequential), or in deterministic
-//     conflict-free waves on the worker pool (BoundaryWaves, see runWaves).
-//     With Shards=1 every node is interior and the schedule is exactly the
-//     legacy Gauss-Seidel pass.
+//     single-writer per shard. The cross-shard nodes run sequentially in
+//     global identifier order during Finish. With Shards=1 every node is
+//     interior and the schedule is exactly the legacy Gauss-Seidel pass.
 //
-// Shard assignment itself is a policy (sim.Partitioner, Config.Executor
-// .Partition): the runner recomputes the layout when the policy asks,
-// feeding it per-node footprints and the previous round's cross-shard
-// activation share — all deterministic inputs, so the schedule stays a
-// pure function of the configuration.
-//
-// In every mode the result is a pure function of the shard schedule: the
-// worker count only changes wall-clock time, never the outcome. Per-shard
-// and per-pick side effects are buffered in opSinks and merged in a
-// deterministic order, so even the trace stream is identical for every
-// pool width.
+// The shard layout is fixed for the run: sim.Partition(n, Shards), near-
+// equal contiguous identifier intervals. The result is a pure function of
+// that schedule: the worker count only changes wall-clock time, never the
+// outcome. Per-shard side effects are buffered in opSinks and merged in
+// shard order, so even the trace stream is identical for every pool width.
 //
 // Ring closure reads global state (SupersetOfLine) and writes the wrap edge
 // across shards, so under CloseRing with more than one shard the extremal
-// nodes are forced onto the sequential boundary path — under every policy.
+// nodes are forced onto the sequential boundary path.
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/graph"
@@ -59,19 +48,18 @@ import (
 
 // ParallelStats describes the sharded executor's run shape.
 type ParallelStats struct {
-	Workers int    // worker pool width actually used
-	Shards  int    // shard partition size actually used
-	Policy  string // partition policy name ("" for the legacy executor)
+	Workers int // worker pool width actually used
+	Shards  int // shard partition size actually used
 	// InteriorActivations counts state-changing activations performed in
 	// the parallel phases (Jacobi proposals, atomic interior steps);
-	// WaveActivations counts cross-shard activations executed in
-	// conflict-free waves (also parallel); BoundaryActivations counts the
-	// sequential share (ring closure during the ordered merge, atomic
-	// boundary fallbacks). Their sum matches the legacy executor's
-	// activation count when the schedules coincide.
+	// BoundaryActivations counts the sequential share (ring closure during
+	// the ordered merge, atomic boundary fallbacks). Their sum matches the
+	// legacy executor's activation count when the schedules coincide.
 	InteriorActivations int64
-	WaveActivations     int64
 	BoundaryActivations int64
+	// WaveActivations is always 0. It is kept because the repo benchmark
+	// reads it.
+	WaveActivations int64
 }
 
 // propEdge is one staged Jacobi addition: the chain edge {u,v} proposed by
@@ -85,10 +73,7 @@ type propEdge struct {
 // parExec holds the per-run state of the sharded executor.
 type parExec struct {
 	e       *Engine
-	shards  []sim.Shard // current layout, installed via onPartition
-	multi   bool        // more than one shard
-	policy  string
-	waves   bool // cross-shard nodes run under the wave discipline
+	multi   bool // more than one shard
 	workers int  // configured pool width (snapshot/delta parallelism)
 	// extremal identifiers, for wrap-edge handling (valid when hasExt)
 	min, max ids.ID
@@ -97,7 +82,6 @@ type parExec struct {
 	root      opSink   // sequential-phase sink (direct)
 	sinks     []opSink // per-shard buffering sinks (atomic Execute)
 	intCounts []int    // per-shard interior activations this round
-	wvCounts  []int    // per-shard wave activations this round
 	bndCounts []int    // per-shard sequential activations this round
 
 	// Jacobi state (Memory)
@@ -108,44 +92,25 @@ type parExec struct {
 	preSuper bool // SupersetOfLine held at round start
 
 	// atomic state (Pure, LSN): dense indices per shard. boundary holds
-	// the nodes that must run sequentially (cross-shard under the
-	// sequential discipline; ring-closure extremal nodes always); cross
-	// holds the nodes the wave discipline runs in parallel.
+	// the nodes that must run sequentially: cross-shard nodes and, under
+	// CloseRing, the ring-closure extremal nodes.
 	interior [][]int
 	boundary [][]int
-	cross    [][]int
-
-	// wave state (see runWaves)
-	pending     []int32
-	rest        []int32
-	picks       []int32
-	pickChanged []bool
-	waveSinks   []opSink
-	touch       []int32
-	mark        []int32
-	markGen     int32
 }
 
 // runSharded drives the engine with the sharded executor and returns the
 // final stats. Only called for the synchronous scheduler.
 func (e *Engine) runSharded(maxRounds int) Stats {
-	ex := e.cfg.exec()
+	ex := e.cfg.Executor
 	n := len(e.nodes)
-	part, err := sim.NewPartitioner(ex.Partition)
-	if err != nil {
-		panic(fmt.Sprintf("linearize: %v", err))
-	}
 	shardCount := ex.Shards
 	if shardCount <= 0 {
 		shardCount = sim.DefaultShards(n)
 	}
-	// Every policy emits exactly ClampShards shards, so the per-shard state
-	// is sized once even though the layout may be recomputed mid-run.
 	shardCount = sim.ClampShards(n, shardCount)
 	p := &parExec{
 		e:         e,
-		policy:    part.Name(),
-		waves:     e.cfg.Variant != Memory && part.Boundary() == sim.BoundaryWaves,
+		multi:     shardCount > 1,
 		workers:   ex.Workers,
 		root:      opSink{e: e, direct: true},
 		sinks:     make([]opSink, shardCount),
@@ -157,15 +122,12 @@ func (e *Engine) runSharded(maxRounds int) Stats {
 		p.sinks[i].e = e
 	}
 	rr := &sim.ShardedRunner{
-		Workers:     ex.Workers,
-		Shards:      shardCount,
-		MaxRounds:   maxRounds,
-		Partitioner: part,
-		Footprint:   p.footprint,
-		OnPartition: p.onPartition,
-		NodeCount:   func() int { return n },
-		Done:        e.Done,
-		EndRound:    p.endRound,
+		Workers:   ex.Workers,
+		Shards:    shardCount,
+		MaxRounds: maxRounds,
+		NodeCount: func() int { return n },
+		Done:      e.Done,
+		EndRound:  p.endRound,
 	}
 	if e.cfg.Prof != nil {
 		// Guarded assignment: a nil *perf.Profiler must stay a nil
@@ -184,12 +146,6 @@ func (e *Engine) runSharded(maxRounds int) Stats {
 		rr.Prepare = p.atomicPrepare
 		rr.Execute = p.atomicExecute
 		rr.Finish = p.atomicFinish
-		if p.waves {
-			p.cross = make([][]int, shardCount)
-			p.wvCounts = make([]int, shardCount)
-			p.mark = make([]int32, n)
-			rr.Waves = p.runWaves
-		}
 	}
 	res := rr.Run()
 	e.stats.Rounds = res.Rounds
@@ -197,47 +153,10 @@ func (e *Engine) runSharded(maxRounds int) Stats {
 	e.stats.Par = ParallelStats{
 		Workers:             res.Workers,
 		Shards:              res.Shards,
-		Policy:              p.policy,
-		InteriorActivations: int64(res.ParallelActivations - res.WaveActivations),
-		WaveActivations:     int64(res.WaveActivations),
+		InteriorActivations: int64(res.ParallelActivations),
 		BoundaryActivations: int64(res.Activations - res.ParallelActivations),
 	}
 	return e.Stats()
-}
-
-// footprint describes the node at dense index i to the partition policy:
-// its neighborhood's dense-index span and its degree as the work estimate.
-func (p *parExec) footprint(i int) sim.Footprint {
-	e := p.e
-	v := e.nodes[i]
-	lo, hi := v, v
-	deg := 0
-	for u := range e.g.Neighbors(v) {
-		if e.isWrapEdge(v, u) {
-			continue // ring state, exempt from linearization
-		}
-		if u < lo {
-			lo = u
-		}
-		if u > hi {
-			hi = u
-		}
-		deg++
-	}
-	return sim.Footprint{Lo: p.denseOf(lo), Hi: p.denseOf(hi), Weight: float64(deg + 1)}
-}
-
-// denseOf maps a node identifier to its dense index by binary search over
-// the ascending node slice.
-func (p *parExec) denseOf(v ids.ID) int {
-	nodes := p.e.nodes
-	return sort.Search(len(nodes), func(i int) bool { return nodes[i] >= v })
-}
-
-// onPartition installs a (re)computed shard layout.
-func (p *parExec) onPartition(shards []sim.Shard) {
-	p.shards = shards
-	p.multi = len(shards) > 1
 }
 
 // beginRound stamps the round index and emits the round-start event, like
@@ -265,17 +184,8 @@ func (p *parExec) endRound(round int) {
 			p.emitShardRound("propose", p.intCounts)
 		} else {
 			p.emitShardRound("interior", p.intCounts)
-			if p.waves {
-				p.emitShardRound("wave", p.wvCounts)
-			}
 			p.emitShardRound("boundary", p.bndCounts)
 		}
-		// One policy label per round: Kind "policy" (not a shard index)
-		// with the policy name in Aux and the shard count as the value.
-		e.cfg.Tracer.Emit(trace.Event{
-			T: int64(round), Type: trace.EvShardRound,
-			Kind: "policy", Aux: p.policy, Value: float64(len(p.shards)),
-		})
 		e.cfg.Tracer.Emit(trace.Event{
 			T: int64(round), Type: trace.EvRoundEnd,
 			Aux: e.cfg.Variant.String(), Value: float64(e.g.NumEdges()),
@@ -287,9 +197,6 @@ func (p *parExec) endRound(round int) {
 	for i := range p.intCounts {
 		p.intCounts[i], p.bndCounts[i] = 0, 0
 	}
-	for i := range p.wvCounts {
-		p.wvCounts[i] = 0
-	}
 }
 
 // emitShardRound emits one EvShardRound per shard plus the aggregate gauge
@@ -297,11 +204,11 @@ func (p *parExec) endRound(round int) {
 func (p *parExec) emitShardRound(phase string, counts []int) {
 	e := p.e
 	total := 0
-	for _, s := range p.shards {
-		total += counts[s.Index]
+	for i, c := range counts {
+		total += c
 		e.cfg.Tracer.Emit(trace.Event{
 			T: int64(e.curRound), Type: trace.EvShardRound,
-			Kind: strconv.Itoa(s.Index), Aux: phase, Value: float64(counts[s.Index]),
+			Kind: strconv.Itoa(i), Aux: phase, Value: float64(c),
 		})
 	}
 	e.cfg.Tracer.Emit(trace.Event{
@@ -427,20 +334,14 @@ func (p *parExec) jacobiFinish(_ int) int {
 }
 
 // atomicPrepare classifies the shard's nodes by identifier footprint:
-// interior nodes run concurrently in Execute; the rest go to the policy's
-// boundary path — the sequential Finish pass, or the wave scheduler when
-// the policy opted into BoundaryWaves. Under CloseRing with several shards
-// the extremal nodes are always sequential-boundary — their ring-closure
-// step reads and writes global state, which no parallel discipline can
-// admit. Read-only; activations are counted by the later phases.
+// interior nodes run concurrently in Execute; the rest go to the
+// sequential Finish pass. Under CloseRing with several shards the extremal
+// nodes are always boundary — their ring-closure step reads and writes
+// global state. Read-only; activations are counted by the later phases.
 func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
 	e := p.e
 	inner := p.interior[s.Index][:0]
 	outer := p.boundary[s.Index][:0]
-	var crossing []int
-	if p.waves {
-		crossing = p.cross[s.Index][:0]
-	}
 	if s.Len() > 0 {
 		idLo, idHi := e.nodes[s.Lo], e.nodes[s.Hi-1]
 		for i := s.Lo; i < s.Hi; i++ {
@@ -460,8 +361,6 @@ func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
 			}
 			if lo >= idLo && hi <= idHi {
 				inner = append(inner, i)
-			} else if p.waves {
-				crossing = append(crossing, i)
 			} else {
 				outer = append(outer, i)
 			}
@@ -469,9 +368,6 @@ func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
 	}
 	p.interior[s.Index] = inner
 	p.boundary[s.Index] = outer
-	if p.waves {
-		p.cross[s.Index] = crossing
-	}
 	return 0
 }
 
@@ -494,9 +390,7 @@ func (p *parExec) atomicExecute(_ int, s sim.Shard) int {
 
 // atomicFinish merges the shard sinks in shard order (deterministic stats
 // and trace stream for any worker count), then runs the boundary nodes
-// sequentially in global identifier order. Under the wave discipline the
-// shard sinks were already flushed at the top of the wave phase, so the
-// flush loop is a no-op and only the extremal ring-closure nodes remain.
+// sequentially in global identifier order.
 func (p *parExec) atomicFinish(_ int) int {
 	e := p.e
 	for i := range p.sinks {
@@ -514,108 +408,4 @@ func (p *parExec) atomicFinish(_ int) int {
 		act += changed
 	}
 	return act
-}
-
-// runWaves executes the round's cross-shard nodes in deterministic
-// conflict-free waves — the BoundaryWaves discipline. Each wave makes one
-// greedy pass over the pending nodes in ascending identifier order and
-// picks every node whose touch set — N(v) ∪ {v}, exactly the adjacency
-// sets its atomic step reads and writes — is disjoint from the touch sets
-// already picked this wave (a greedy maximal independent set in the
-// conflict graph). The picks then execute concurrently over the worker
-// pool: disjoint touch sets mean disjoint memory footprints, so the
-// executions are race-free and their combined effect equals any serial
-// order. Per-pick side effects are buffered and flushed in pick order
-// after the wave's barrier. The pick schedule depends only on graph state
-// and identifier order — never on the pool width — so the result and the
-// trace stream remain byte-identical for every worker count; Workers=1
-// simply executes the same picks serially. The first pending node of a
-// wave is always picked, so every wave makes progress and the loop
-// terminates.
-func (p *parExec) runWaves(_ int, pf sim.ParallelFor) int {
-	e := p.e
-	// Flush the interior shard sinks first so the trace keeps its
-	// interior-then-boundary order within the round.
-	for i := range p.sinks {
-		p.sinks[i].flush()
-	}
-	// The per-shard cross lists are ascending and the shards are ordered,
-	// so their concatenation is the global identifier order.
-	pending := p.pending[:0]
-	for si := range p.cross {
-		for _, i := range p.cross[si] {
-			pending = append(pending, int32(i))
-		}
-	}
-	total := 0
-	gen := p.markGen
-	for len(pending) > 0 {
-		gen++
-		picks := p.picks[:0]
-		rest := p.rest[:0]
-		for _, i := range pending {
-			if p.tryPick(int(i), gen) {
-				picks = append(picks, i)
-			} else {
-				rest = append(rest, i)
-			}
-		}
-		for len(p.waveSinks) < len(picks) {
-			p.waveSinks = append(p.waveSinks, opSink{e: e})
-		}
-		if cap(p.pickChanged) < len(picks) {
-			p.pickChanged = make([]bool, len(picks))
-		}
-		changed := p.pickChanged[:len(picks)]
-		pf(len(picks), func(k int) {
-			changed[k] = e.stepInPlace(e.nodes[picks[k]], &p.waveSinks[k])
-		})
-		for k := range picks {
-			p.waveSinks[k].flush()
-			if changed[k] {
-				total++
-				p.wvCounts[p.shardOf(int(picks[k]))]++
-			}
-		}
-		// Swap the backing arrays so next round's pass reuses both buffers
-		// without aliasing pending.
-		p.picks = picks
-		p.pending, p.rest = rest, pending[:0]
-		pending = rest
-	}
-	p.markGen = gen
-	return total
-}
-
-// tryPick checks whether node i's touch set is free this wave and, only if
-// every member is free, marks it taken. The two-pass shape (collect, test,
-// then mark) guarantees a rejected candidate leaves no marks behind.
-func (p *parExec) tryPick(i int, gen int32) bool {
-	e := p.e
-	touch := p.touch[:0]
-	touch = append(touch, int32(i))
-	ok := p.mark[i] != gen
-	if ok {
-		for u := range e.g.Neighbors(e.nodes[i]) {
-			j := p.denseOf(u)
-			if p.mark[j] == gen {
-				ok = false
-				break
-			}
-			touch = append(touch, int32(j))
-		}
-	}
-	p.touch = touch
-	if !ok {
-		return false
-	}
-	for _, j := range touch {
-		p.mark[j] = gen
-	}
-	return true
-}
-
-// shardOf returns the index of the shard containing dense index i.
-func (p *parExec) shardOf(i int) int {
-	return sort.Search(len(p.shards), func(s int) bool { return p.shards[s].Hi > i })
 }

@@ -77,11 +77,11 @@ func TestParallelIndependentOfWorkers(t *testing.T) {
 	for _, v := range Variants() {
 		for _, closeRing := range []bool{false, true} {
 			base := Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: closeRing,
-				Workers: 1, Shards: 8}
+				Executor: sim.ExecutorConfig{Workers: 1, Shards: 8}}
 			refStats, refGraph, refEvents := runOnce(g, base)
 			for _, workers := range []int{2, 4, 8} {
 				cfg := base
-				cfg.Workers = workers
+				cfg.Executor.Workers = workers
 				st, fg, evs := runOnce(g, cfg)
 				label := v.String()
 				if closeRing {
@@ -111,7 +111,7 @@ func TestJacobiShardedMatchesLegacy(t *testing.T) {
 			}
 			for _, shards := range []int{1, 3, 8, 64} {
 				cfg := legacy
-				cfg.Workers, cfg.Shards = 4, shards
+				cfg.Executor = sim.ExecutorConfig{Workers: 4, Shards: shards}
 				st, fg, evs := runOnce(g, cfg)
 				label := "memory"
 				if closeRing {
@@ -136,7 +136,7 @@ func TestAtomicShardOneMatchesLegacy(t *testing.T) {
 			legacy := Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: closeRing}
 			lStats, lGraph, lEvents := runOnce(g, legacy)
 			cfg := legacy
-			cfg.Workers, cfg.Shards = 4, 1
+			cfg.Executor = sim.ExecutorConfig{Workers: 4, Shards: 1}
 			st, fg, evs := runOnce(g, cfg)
 			label := v.String()
 			if closeRing {
@@ -158,7 +158,7 @@ func TestParallelConvergesAllVariants(t *testing.T) {
 		for _, closeRing := range []bool{false, true} {
 			g := randomConnected(250, 23)
 			cfg := Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: closeRing,
-				Workers: 4, Shards: 6}
+				Executor: sim.ExecutorConfig{Workers: 4, Shards: 6}}
 			st, fg, _ := runOnce(g, cfg)
 			if !st.Converged {
 				t.Fatalf("%s close=%v: did not converge: %s", v, closeRing, st)
@@ -186,7 +186,7 @@ func TestParallelSequentialDaemonFallsBack(t *testing.T) {
 	ref := Config{Variant: LSN, Scheduler: sim.RandomSequential, Seed: 9}
 	rStats, rGraph, rEvents := runOnce(g, ref)
 	cfg := ref
-	cfg.Workers, cfg.Shards = 8, 8
+	cfg.Executor = sim.ExecutorConfig{Workers: 8, Shards: 8}
 	st, fg, evs := runOnce(g, cfg)
 	if !fg.Equal(rGraph) {
 		t.Fatal("sequential daemon result changed under Workers")
@@ -211,9 +211,9 @@ func TestParallelEquivalence10k(t *testing.T) {
 	g := graph.RandomRegular(nodes, 4, r)
 	for _, v := range Variants() {
 		cfg := Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: true,
-			MaxRounds: 12, Workers: 1}
+			MaxRounds: 12, Executor: sim.ExecutorConfig{Workers: 1}}
 		seqStats, seqGraph, _ := runOnce(g, cfg)
-		cfg.Workers = 4
+		cfg.Executor.Workers = 4
 		parStats, parGraph, _ := runOnce(g, cfg)
 		if !parGraph.Equal(seqGraph) {
 			t.Fatalf("%s: 10k-node parallel run diverged from sequential", v)
@@ -232,7 +232,7 @@ func TestParallelRaceHammer(t *testing.T) {
 	for _, v := range Variants() {
 		for _, shards := range []int{4, 16} {
 			cfg := Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: true,
-				Workers: 8, Shards: shards, MaxRounds: 20}
+				Executor: sim.ExecutorConfig{Workers: 8, Shards: shards}, MaxRounds: 20}
 			e := NewEngine(g, cfg)
 			st := e.Run()
 			if fg := e.Graph(); !fg.Connected() {

@@ -14,7 +14,8 @@ package sim
 //	           merge; atomic protocols run the boundary fallback in global
 //	           identifier order.
 //
-// The runner owns partitioning, the pool, the phase barriers and the round
+// The runner owns the partition — one fixed Partition(n, Shards) layout per
+// run — the pool, the phase barriers and the round
 // loop; the protocol owns the semantics. The determinism contract is split
 // accordingly: the runner guarantees that each shard's hooks run on exactly
 // one goroutine and that Finish is exclusive, while the protocol must make
@@ -25,6 +26,7 @@ package sim
 // mode that the equivalence tests pin.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,8 +43,8 @@ type ShardProfiler interface {
 	// RoundStart opens a round, before BeginRound.
 	RoundStart(round int)
 	// PhaseTime reports one phase's wall time. Phases are "begin",
-	// "prepare", "execute" (the parallel pair), "waves" (when the runner
-	// has a Waves hook), "finish" and "end"; absent hooks report nothing.
+	// "prepare", "execute" (the parallel pair), "finish" and "end"; absent
+	// hooks report nothing.
 	PhaseTime(round int, phase string, d time.Duration)
 	// ShardTime reports one shard's busy time inside a parallel phase.
 	ShardTime(round int, phase string, shard int, d time.Duration)
@@ -61,47 +63,6 @@ type Shard struct {
 // Len returns the number of nodes in the shard.
 func (s Shard) Len() int { return s.Hi - s.Lo }
 
-// ParallelFor runs fn for every index in [0, tasks) over the runner's
-// worker pool. fn invocations may run concurrently; the caller is
-// responsible for making them race-free (e.g. conflict-free wave picks).
-type ParallelFor func(tasks int, fn func(i int))
-
-// makeParallelFor builds a ParallelFor over a work-stealing pool of the
-// given width, mirroring runPhase's fan-out.
-func makeParallelFor(workers int) ParallelFor {
-	return func(tasks int, fn func(i int)) {
-		if tasks <= 0 {
-			return
-		}
-		w := workers
-		if w > tasks {
-			w = tasks
-		}
-		if w <= 1 {
-			for i := 0; i < tasks; i++ {
-				fn(i)
-			}
-			return
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= tasks {
-						return
-					}
-					fn(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-}
-
 // ShardedRunner drives a round-model protocol over an identifier-interval
 // shard partition with a worker pool. Nil phase hooks are skipped. See the
 // file comment for the phase semantics and the determinism contract.
@@ -115,21 +76,7 @@ type ShardedRunner struct {
 	Shards    int
 	MaxRounds int // safety bound; <= 0 means 1<<20
 
-	// Partitioner selects the shard-assignment policy; nil means the
-	// contiguous baseline (Partition). The partition is computed at round 0
-	// and cached; it is recomputed when the node count changes or the
-	// policy's Refresh reports that the previous round's cross-shard
-	// activation share warrants it.
-	Partitioner Partitioner
-	// Footprint supplies per-node footprints to the Partitioner; nil means
-	// a self-only footprint of unit weight. Only consulted when the
-	// partition is (re)computed.
-	Footprint FootprintFn
-	// OnPartition, when non-nil, runs sequentially each time a new shard
-	// layout is installed — the protocol's chance to resize per-shard
-	// state before the round's phases.
-	OnPartition func(shards []Shard)
-
+	// NodeCount is read once, when the run lays out its shards.
 	NodeCount func() int
 	Done      func() bool
 	// BeginRound runs sequentially before the phases (snapshot hook).
@@ -140,12 +87,6 @@ type ShardedRunner struct {
 	// Execute runs once per shard per round, in parallel; writes must stay
 	// within the shard's identifier interval. Returns activations.
 	Execute func(round int, s Shard) int
-	// Waves, when non-nil, runs between Execute and Finish on the control
-	// goroutine and may use pf to fan conflict-free work over the pool
-	// (the BoundaryWaves discipline). Returns activations, counted as
-	// parallel work. The hook must keep its pick schedule independent of
-	// the pool width.
-	Waves func(round int, pf ParallelFor) int
 	// Finish runs sequentially after the parallel phases (ordered merge /
 	// boundary fallback). Returns activations.
 	Finish func(round int) int
@@ -165,17 +106,14 @@ type ShardResult struct {
 	// parallel phases; Activations minus this is the sequential share
 	// (Jacobi merges and atomic boundary fallbacks).
 	ParallelActivations int
-	// WaveActivations is the subset of ParallelActivations performed by
-	// the Waves hook (cross-shard work executed in conflict-free waves).
-	WaveActivations int
-	Workers, Shards int
+	Workers, Shards     int
 }
 
 // effectiveWorkers resolves the pool width against the shard count.
 func (rr *ShardedRunner) effectiveWorkers(shards int) int {
 	w := rr.Workers
 	if w <= 0 {
-		w = NewEngine(0).Workers() // GOMAXPROCS default, one source of truth
+		w = runtime.GOMAXPROCS(0)
 	}
 	if w > shards {
 		w = shards
@@ -239,22 +177,19 @@ func (rr *ShardedRunner) Run() ShardResult {
 		res.Converged = true
 		return res
 	}
-	counts := []int(nil)
-	durs := []time.Duration(nil)
+	n := rr.NodeCount()
+	shardCount := rr.Shards
+	if shardCount <= 0 {
+		shardCount = DefaultShards(n)
+	}
+	shards := Partition(n, shardCount)
+	workers := rr.effectiveWorkers(len(shards))
+	res.Workers, res.Shards = workers, len(shards)
+	counts := make([]int, len(shards))
 	prof := rr.Prof
-	// wavePool fans the Waves hook's picks over the full pool width; unlike
-	// runPhase it is not clamped to the shard count, because wave tasks are
-	// individual nodes, not shards.
-	var wavePool ParallelFor
-	if rr.Waves != nil {
-		w := rr.Workers
-		if w <= 0 {
-			w = NewEngine(0).Workers()
-		}
-		if w < 1 {
-			w = 1
-		}
-		wavePool = makeParallelFor(w)
+	var durs []time.Duration
+	if prof != nil {
+		durs = make([]time.Duration, len(shards))
 	}
 	// timeSeq wraps one sequential hook with profiler timing; with no
 	// profiler it costs one branch.
@@ -267,57 +202,14 @@ func (rr *ShardedRunner) Run() ShardResult {
 		fn()
 		prof.PhaseTime(round, name, time.Since(t0))
 	}
-	// The shard layout is cached across rounds; recomputing it is policy-
-	// driven (Partitioner.Refresh on the previous round's cross-shard
-	// activation share), not a per-round cost. crossShare is derived from
-	// the runner's own deterministic counters, so refresh decisions — and
-	// with them the schedule — stay identical for every worker count.
-	var (
-		shards     []Shard
-		prevN      = -1
-		crossShare float64
-	)
 	for round := 0; round < maxRounds; round++ {
-		n := rr.NodeCount()
-		shardCount := rr.Shards
-		if shardCount <= 0 {
-			shardCount = DefaultShards(n)
-		}
-		if shards == nil || n != prevN ||
-			(rr.Partitioner != nil && rr.Partitioner.Refresh(round, crossShare)) {
-			if rr.Partitioner != nil {
-				fp := rr.Footprint
-				if fp == nil {
-					fp = func(i int) Footprint { return Footprint{Lo: i, Hi: i, Weight: 1} }
-				}
-				shards = rr.Partitioner.Assign(n, shardCount, fp)
-				validatePartition(n, shards, rr.Partitioner.Name())
-			} else {
-				shards = Partition(n, shardCount)
-			}
-			prevN = n
-			if rr.OnPartition != nil {
-				rr.OnPartition(shards)
-			}
-		}
-		workers := rr.effectiveWorkers(len(shards))
-		res.Workers, res.Shards = workers, len(shards)
-		if cap(counts) < len(shards) {
-			counts = make([]int, len(shards))
-		}
-		counts = counts[:len(shards)]
 		if prof != nil {
-			if cap(durs) < len(shards) {
-				durs = make([]time.Duration, len(shards))
-			}
-			durs = durs[:len(shards)]
 			prof.RoundStart(round)
 		}
-
 		if rr.BeginRound != nil {
 			timeSeq(round, "begin", func() { rr.BeginRound(round) })
 		}
-		roundPar, roundWave, roundSeq := 0, 0, 0
+		roundPar, roundSeq := 0, 0
 		for _, ph := range []struct {
 			name string
 			fn   func(int, Shard) int
@@ -344,20 +236,11 @@ func (rr *ShardedRunner) Run() ShardResult {
 				roundPar += c
 			}
 		}
-		if rr.Waves != nil {
-			timeSeq(round, "waves", func() { roundWave = rr.Waves(round, wavePool) })
-		}
 		if rr.Finish != nil {
 			timeSeq(round, "finish", func() { roundSeq = rr.Finish(round) })
 		}
-		res.Activations += roundPar + roundWave + roundSeq
-		res.ParallelActivations += roundPar + roundWave
-		res.WaveActivations += roundWave
-		if total := roundPar + roundWave + roundSeq; total > 0 {
-			crossShare = float64(roundWave+roundSeq) / float64(total)
-		} else {
-			crossShare = 0
-		}
+		res.Activations += roundPar + roundSeq
+		res.ParallelActivations += roundPar
 		if rr.EndRound != nil {
 			timeSeq(round, "end", func() { rr.EndRound(round) })
 		}

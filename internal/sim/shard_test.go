@@ -154,16 +154,8 @@ func TestShardedRunnerMaxRounds(t *testing.T) {
 }
 
 func TestEngineOptions(t *testing.T) {
-	e := NewEngine(1)
-	if e.Workers() < 1 {
-		t.Fatal("default Workers must be >= 1")
-	}
-	e = NewEngine(1, WithWorkers(7))
-	if e.Workers() != 7 {
-		t.Fatalf("WithWorkers: got %d", e.Workers())
-	}
 	rec := recordingTracer{}
-	e = NewEngine(1, WithTracer(&rec), WithWorkers(2))
+	e := NewEngine(1, WithTracer(&rec))
 	if e.Tracer() != &rec {
 		t.Fatal("WithTracer did not install the tracer")
 	}

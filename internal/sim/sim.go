@@ -20,7 +20,6 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/trace"
 )
@@ -80,18 +79,17 @@ func (q *eventQueue) Pop() any {
 // concurrent use; node goroutine experiments wrap it behind a channel (see
 // package phys).
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	seq     int64
-	rng     *rand.Rand
-	events  int64 // total events executed
-	tracer  trace.Tracer
-	workers int
+	now    Time
+	queue  eventQueue
+	seq    int64
+	rng    *rand.Rand
+	events int64 // total events executed
+	tracer trace.Tracer
 }
 
 // Option configures an Engine at construction time. The functional-option
-// form is the supported way to wire cross-cutting concerns (tracing,
-// parallelism defaults) — post-hoc mutators are deprecated shims.
+// form is the supported way to wire cross-cutting concerns such as tracing
+// — post-hoc mutators are deprecated shims.
 type Option func(*Engine)
 
 // WithTracer installs the engine's tracer. Firings emit EvSimFire with the
@@ -99,13 +97,6 @@ type Option func(*Engine)
 // Without this option the engine keeps the zero-cost nil-tracer fast path.
 func WithTracer(t trace.Tracer) Option {
 	return func(e *Engine) { e.tracer = t }
-}
-
-// WithWorkers sets the default worker-pool width for sharded round
-// executors derived from this simulation (see ShardedRunner). k <= 0
-// restores the default, GOMAXPROCS.
-func WithWorkers(k int) Option {
-	return func(e *Engine) { e.workers = k }
 }
 
 // NewEngine returns an engine whose randomness is derived from seed,
@@ -126,16 +117,6 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // EventsExecuted returns how many events have fired so far.
 func (e *Engine) EventsExecuted() int64 { return e.events }
-
-// Workers returns the configured worker-pool width for sharded executors
-// attached to this simulation: the WithWorkers value, or GOMAXPROCS when
-// unset.
-func (e *Engine) Workers() int {
-	if e.workers > 0 {
-		return e.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Tracer returns the engine's tracer (nil when tracing is disabled).
 func (e *Engine) Tracer() trace.Tracer { return e.tracer }

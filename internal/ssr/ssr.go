@@ -962,6 +962,9 @@ func (n *Node) forwardData(dp dataPayload) bool {
 		via = cand.Via
 		bestDist = ids.RingDist(cand.Node, dp.Dst)
 	}
+	// RingDist(·, dst) is injective, so distinct reverse neighbors never
+	// tie and the scan's result does not depend on map iteration order; a
+	// reverse neighbor that equals the cache's pick keeps the cached route.
 	for u, r := range n.liveRevNbrs() {
 		if d := ids.RingDist(u, dp.Dst); d < bestDist {
 			via, bestDist = r, d

@@ -119,15 +119,7 @@ func (c collector) Emit(e trace.Event) {
 	case trace.EvGauge:
 		s.reg.Gauge("ssr_gauge", "metric", e.Kind).Set(e.Value)
 	case trace.EvShardRound:
-		// Kind "policy" is the executor's per-round partition stamp (Aux =
-		// policy name, Value = shard count); numeric Kinds carry per-shard
-		// activation counts.
-		if e.Kind == "policy" {
-			s.reg.Counter("ssr_partition_rounds", "policy", e.Aux).Inc()
-			s.reg.Gauge("ssr_partition_shards", "policy", e.Aux).Set(e.Value)
-		} else {
-			s.reg.Counter("ssr_shard_activations", "shard", e.Kind, "phase", e.Aux).Add(e.Value)
-		}
+		s.reg.Counter("ssr_shard_activations", "shard", e.Kind, "phase", e.Aux).Add(e.Value)
 	case trace.EvInvariant:
 		s.reg.Counter("ssr_invariant_checks", "invariant", e.Kind).Inc()
 		if e.Value != 0 {

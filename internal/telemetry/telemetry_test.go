@@ -181,8 +181,6 @@ func TestCollectorFoldsShardAndGaugeEvents(t *testing.T) {
 	tr.Emit(trace.Event{T: 0, Type: trace.EvShardRound, Kind: "0", Aux: "interior", Value: 12})
 	tr.Emit(trace.Event{T: 1, Type: trace.EvShardRound, Kind: "0", Aux: "interior", Value: 3})
 	tr.Emit(trace.Event{T: 1, Type: trace.EvShardRound, Kind: "1", Aux: "boundary", Value: 2})
-	tr.Emit(trace.Event{T: 0, Type: trace.EvShardRound, Kind: "policy", Aux: "locality", Value: 8})
-	tr.Emit(trace.Event{T: 1, Type: trace.EvShardRound, Kind: "policy", Aux: "locality", Value: 9})
 	tr.Emit(trace.Event{T: 1, Type: trace.EvGauge, Kind: "parallel/interior-activations", Value: 15})
 	tr.Emit(trace.Event{T: 2, Type: trace.EvGauge, Kind: "parallel/interior-activations", Value: 4})
 
@@ -192,17 +190,6 @@ func TestCollectorFoldsShardAndGaugeEvents(t *testing.T) {
 	}
 	if v := reg.Counter("ssr_shard_activations", "shard", "1", "phase", "boundary").Value(); v != 2 {
 		t.Errorf("shard 1 boundary activations = %v, want 2", v)
-	}
-	// The "policy" stamp must not be folded as a shard row: it counts
-	// rounds per policy and tracks the latest shard count instead.
-	if v := reg.Counter("ssr_partition_rounds", "policy", "locality").Value(); v != 2 {
-		t.Errorf("partition rounds = %v, want 2", v)
-	}
-	if v := reg.Gauge("ssr_partition_shards", "policy", "locality").Value(); v != 9 {
-		t.Errorf("partition shards = %v, want latest value 9", v)
-	}
-	if v := reg.Counter("ssr_shard_activations", "shard", "policy", "phase", "locality").Value(); v != 0 {
-		t.Errorf("policy stamp leaked into shard activations: %v", v)
 	}
 	// Gauges keep the latest reading, not a sum.
 	if v := reg.Gauge("ssr_gauge", "metric", "parallel/interior-activations").Value(); v != 4 {

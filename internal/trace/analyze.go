@@ -130,17 +130,15 @@ type Analysis struct {
 	// aggregates, per-shard busy time and activation attribution, load
 	// imbalance, and allocation/GC deltas. All zero on unprofiled traces
 	// (EvShardRound still folds on sharded-executor traces).
-	spans        map[string]*spanAgg
-	shardBusy    map[int]float64          // shard -> busy ns across all phases
-	shardActs    map[string]map[int]int64 // phase -> shard -> activations
-	policy       string                   // partition policy stamped by the executor
-	policyShards int                      // shard count of the last partition stamp
-	imbSum       float64
-	imbN         int64
-	imbMax       float64
-	allocBytes   float64
-	mallocs      float64
-	gcCycles     float64
+	spans      map[string]*spanAgg
+	shardBusy  map[int]float64          // shard -> busy ns across all phases
+	shardActs  map[string]map[int]int64 // phase -> shard -> activations
+	imbSum     float64
+	imbN       int64
+	imbMax     float64
+	allocBytes float64
+	mallocs    float64
+	gcCycles   float64
 }
 
 // spanAgg accumulates one span kind's cost.
@@ -214,14 +212,7 @@ func (a *Analysis) Emit(e Event) {
 		a.foldSpan(e)
 		return
 	case EvShardRound:
-		// Kind "policy" is the executor's per-round partition stamp
-		// (Aux = policy name, Value = shard count); numeric Kinds are
-		// per-shard activation attribution.
-		if e.Kind == "policy" {
-			a.policy = e.Aux
-			a.policyShards = int(e.Value)
-			return
-		}
+		// Kind is the shard index; Aux names the activation phase.
 		if shard, err := strconv.Atoi(e.Kind); err == nil {
 			m := a.shardActs[e.Aux]
 			if m == nil {
@@ -476,12 +467,6 @@ type PerfReport struct {
 	Shards []ShardPerf // sorted by shard index
 	Rounds int64
 
-	// Policy is the partition policy the sharded executor stamped into the
-	// trace ("" on traces predating the stamp or without the executor);
-	// PolicyShards is the shard count of the last stamp.
-	Policy       string
-	PolicyShards int
-
 	ImbalanceMean float64 // mean over rounds of max/mean parallel shard busy
 	ImbalanceMax  float64
 
@@ -494,12 +479,10 @@ type PerfReport struct {
 func (p PerfReport) Empty() bool { return len(p.Spans) == 0 && len(p.Shards) == 0 }
 
 // parallelSpan reports whether a phase span names work done inside the
-// parallel phases of the sharded executor — including the conflict-free
-// boundary waves, which execute their picks through the worker pool
-// (everything else — begin, finish, end, snapshot rebuilds — is the
-// sequential share).
+// parallel phases of the sharded executor (everything else — begin,
+// finish, end, snapshot rebuilds — is the sequential share).
 func parallelSpan(name string) bool {
-	return name == "phase/prepare" || name == "phase/execute" || name == "phase/waves"
+	return name == "phase/prepare" || name == "phase/execute"
 }
 
 // SeqNs returns the wall time spent in the sequential share of the rounds.
@@ -569,8 +552,6 @@ func (a *Analysis) Perf() PerfReport {
 		Mallocs:      a.mallocs,
 		GCCycles:     a.gcCycles,
 		Rounds:       a.Stats.Rounds(),
-		Policy:       a.policy,
-		PolicyShards: a.policyShards,
 	}
 	if a.imbN > 0 {
 		p.ImbalanceMean = a.imbSum / float64(a.imbN)
