@@ -188,6 +188,21 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
+// FromRows builds the graph whose node i is nodes[i] and is adjacent to
+// nodes[j] for every j in rows[i]. rows must describe a symmetric relation
+// without self-loops. Each neighbor set is sized to its row up front.
+func FromRows(nodes []ids.ID, rows [][]int32) *Graph {
+	g := &Graph{adj: make(map[ids.ID]ids.Set, len(nodes))}
+	for i, v := range nodes {
+		s := make(ids.Set, len(rows[i]))
+		for _, j := range rows[i] {
+			s[nodes[j]] = struct{}{}
+		}
+		g.adj[v] = s
+	}
+	return g
+}
+
 // Equal reports whether g and h have identical node and edge sets.
 func (g *Graph) Equal(h *Graph) bool {
 	if len(g.adj) != len(h.adj) {

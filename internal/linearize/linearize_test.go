@@ -38,6 +38,15 @@ func TestChainEdges(t *testing.T) {
 	}
 }
 
+// chainEdges is appendChainEdges on identifiers, as graph edges.
+func chainEdges(v ids.ID, sortedNbrs []ids.ID) []graph.Edge {
+	var out []graph.Edge
+	for _, c := range appendChainEdges(nil, v, sortedNbrs) {
+		out = append(out, graph.Edge{U: c[0], V: c[1]})
+	}
+	return out
+}
+
 func randomConnected(n int, seed int64) *graph.Graph {
 	r := rand.New(rand.NewSource(seed))
 	nodes := graph.MakeIDs(n, graph.RandomIDs, r)

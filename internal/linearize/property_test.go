@@ -2,6 +2,7 @@ package linearize
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -99,8 +100,14 @@ func TestKeepSetProperties(t *testing.T) {
 		nodes := graph.MakeIDs(n, graph.RandomIDs, r)
 		g := graph.ErdosRenyi(nodes, 0.3, r)
 		e := NewEngine(g, Config{Variant: LSN})
-		for _, v := range g.Nodes() {
-			keep := e.keepSet(g, v, nil)
+		for i, v := range g.Nodes() {
+			var keep []ids.ID
+			for _, j := range e.keepSet(int32(i), nil) {
+				keep = append(keep, e.adj.nodes[j])
+			}
+			if !slices.IsSorted(keep) {
+				t.Fatalf("keep set not ascending: %v", keep)
+			}
 			if len(keep) > 2*ids.NumIntervals {
 				t.Fatalf("keep set too large: %d", len(keep))
 			}

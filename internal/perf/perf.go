@@ -115,21 +115,3 @@ func (p *Profiler) RoundEnd(round int) {
 	p.emit(int64(round), "mallocs", "", float64(m1.Mallocs-p.m0.Mallocs))
 	p.emit(int64(round), "gc", "", float64(m1.NumGC-p.m0.NumGC))
 }
-
-// Start opens an ad-hoc span; pair with End. On a nil profiler it
-// returns the zero time and End ignores it.
-func (p *Profiler) Start() time.Time {
-	if p == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// End closes an ad-hoc span opened by Start, e.g. the per-round CSR
-// snapshot rebuild ("snapshot/rebuild", Aux: the variant).
-func (p *Profiler) End(round int, kind, aux string, start time.Time) {
-	if p == nil {
-		return
-	}
-	p.emit(int64(round), kind, aux, float64(time.Since(start).Nanoseconds()))
-}

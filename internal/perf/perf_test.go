@@ -22,7 +22,6 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	p.PhaseTime(0, "prepare", time.Millisecond)
 	p.ShardTime(0, "execute", 3, time.Millisecond)
 	p.RoundEnd(0)
-	p.End(0, "snapshot/rebuild", "memory", p.Start())
 }
 
 func find(evs []trace.Event, kind string) (trace.Event, bool) {
@@ -43,7 +42,6 @@ func TestProfilerEmitsSpans(t *testing.T) {
 	p.PhaseTime(7, "prepare", 5*time.Millisecond)
 	p.ShardTime(7, "prepare", 0, 3*time.Millisecond)
 	p.ShardTime(7, "prepare", 1, time.Millisecond)
-	p.End(7, "snapshot/rebuild", "memory", p.Start())
 	p.RoundEnd(7)
 
 	for _, e := range c.events {
@@ -61,9 +59,6 @@ func TestProfilerEmitsSpans(t *testing.T) {
 	sh, ok := find(c.events, "shard/prepare")
 	if !ok || sh.Aux != "0" || sh.Value != float64(3*time.Millisecond) {
 		t.Fatalf("shard/prepare span wrong: %v %v", sh, ok)
-	}
-	if sr, ok := find(c.events, "snapshot/rebuild"); !ok || sr.Aux != "memory" {
-		t.Fatalf("snapshot/rebuild span wrong: %v %v", sr, ok)
 	}
 	// Imbalance: busy 3ms and 1ms -> mean 2ms, max 3ms, ratio 1.5.
 	imb, ok := find(c.events, "imbalance")

@@ -157,8 +157,8 @@ func (s *Server) foldSpan(e trace.Event) {
 	case e.Kind == "gc":
 		s.reg.Counter("ssr_gc_cycles").Add(e.Value)
 	default:
-		// Ad-hoc spans (e.g. snapshot/rebuild) fold into the phase series
-		// under their full name, so nothing measured is dropped.
+		// Any other span kind folds into the phase series under its full
+		// name, so nothing measured is dropped.
 		s.reg.Counter("ssr_phase_seconds", "phase", e.Kind).Add(e.Value / nsPerSec)
 	}
 }

@@ -480,7 +480,7 @@ func (p PerfReport) Empty() bool { return len(p.Spans) == 0 && len(p.Shards) == 
 
 // parallelSpan reports whether a phase span names work done inside the
 // parallel phases of the sharded executor (everything else — begin,
-// finish, end, snapshot rebuilds — is the sequential share).
+// finish, end — is the sequential share).
 func parallelSpan(name string) bool {
 	return name == "phase/prepare" || name == "phase/execute"
 }

@@ -80,8 +80,8 @@ const (
 	// EvSpan is one completed performance span from the deterministic-safe
 	// profiler (internal/perf): a measured cost attributed to a phase, a
 	// shard, or an allocation series of one round. T is the round index;
-	// Kind names the span ("phase/prepare", "shard/execute",
-	// "snapshot/rebuild", "imbalance", "allocs", "mallocs", "gc"); Aux
+	// Kind names the span ("phase/prepare", "shard/execute", "imbalance",
+	// "allocs", "mallocs", "gc"); Aux
 	// qualifies it (the shard index for shard/* spans, the variant or phase
 	// otherwise); Value carries the measurement — wall nanoseconds for
 	// timing spans, a ratio for "imbalance", byte/object/cycle deltas for
